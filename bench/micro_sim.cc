@@ -29,9 +29,10 @@ void BM_SchedulerEventChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerEventChurn);
 
-struct PingMsg final : MessageBase {
-  std::size_t WireSize() const override { return 128; }
-  const char* TypeName() const override { return "bench.Ping"; }
+// 128 wire bytes: the kind byte, then filler.
+struct PingMsg final : Message<PingMsg, TestKind(4)> {
+  wire::Pad pad{127};
+  MRP_FIELDS(pad)
 };
 
 class PingPong final : public Protocol {

@@ -43,45 +43,43 @@ struct LcrConfig {
   Duration delta = Millis(1);
 };
 
-struct LcrData final : MessageBase {
-  NodeId sender;
-  std::uint64_t seq;
+struct LcrData final : Message<LcrData, MsgKind::kLcrData> {
+  NodeId sender = kNoNode;
+  std::uint64_t seq = 0;
   std::vector<std::uint32_t> ts;  // sender's vector clock at send time
-  std::uint32_t payload_size;
-  TimePoint sent_at;
+  std::uint32_t payload_size = 0;
+  TimePoint sent_at{0};
   // Optional structured payload (batches or skips) for Multi-Ring
   // composition; plain benchmarks leave it empty and use payload_size.
   paxos::Value value;
 
+  LcrData() = default;
   LcrData(NodeId s, std::uint64_t q, std::vector<std::uint32_t> t,
           std::uint32_t ps, TimePoint at, paxos::Value v = {})
       : sender(s), seq(q), ts(std::move(t)), payload_size(ps), sent_at(at),
         value(std::move(v)) {}
-  std::size_t WireSize() const override {
-    return 4 + 8 + ts.size() * 4 + 8 + 4 + 8 + payload_size + value.WireSize();
-  }
-  const char* TypeName() const override { return "lcr.Data"; }
+  MRP_FIELDS(sender, seq, ts, sent_at, wire::Payload(payload_size), value)
 };
 
 // Client -> LCR member: broadcast this message on my behalf (LCR itself
 // has no proposer role; members broadcast).
-struct LcrSubmit final : MessageBase {
-  GroupId group;
+struct LcrSubmit final : Message<LcrSubmit, MsgKind::kLcrSubmit> {
+  GroupId group = 0;
   paxos::ClientMsg msg;
 
+  LcrSubmit() = default;
   LcrSubmit(GroupId g, paxos::ClientMsg m) : group(g), msg(std::move(m)) {}
-  std::size_t WireSize() const override { return 8 + 4 + msg.WireSize(); }
-  const char* TypeName() const override { return "lcr.Submit"; }
+  MRP_FIELDS(group, msg)
 };
 
-struct LcrAck final : MessageBase {
-  NodeId sender;
-  std::uint64_t seq;
-  std::uint32_t hops;  // remaining forwards
+struct LcrAck final : Message<LcrAck, MsgKind::kLcrAck> {
+  NodeId sender = kNoNode;
+  std::uint64_t seq = 0;
+  std::uint32_t hops = 0;  // remaining forwards
 
+  LcrAck() = default;
   LcrAck(NodeId s, std::uint64_t q, std::uint32_t h) : sender(s), seq(q), hops(h) {}
-  std::size_t WireSize() const override { return 4 + 8 + 4 + 8; }
-  const char* TypeName() const override { return "lcr.Ack"; }
+  MRP_FIELDS(sender, seq, hops)
 };
 
 class LcrNode final : public Protocol {

@@ -42,42 +42,42 @@ struct MenciusConfig {
 };
 
 // Client -> any server.
-struct MenciusSubmit final : MessageBase {
+struct MenciusSubmit final : Message<MenciusSubmit, MsgKind::kMenciusSubmit> {
   paxos::ClientMsg msg;
 
+  MenciusSubmit() = default;
   explicit MenciusSubmit(paxos::ClientMsg m) : msg(std::move(m)) {}
-  std::size_t WireSize() const override { return 8 + msg.WireSize(); }
-  const char* TypeName() const override { return "mencius.Submit"; }
+  MRP_FIELDS(msg)
 };
 
 // Owner -> all servers (ip-multicast): the owner's proposal for one of
 // its instances (round 0 is pre-owned; no Phase 1 needed).
-struct MenciusPropose final : MessageBase {
-  InstanceId instance;
+struct MenciusPropose final : Message<MenciusPropose, MsgKind::kMenciusPropose> {
+  InstanceId instance = 0;
   paxos::Value value;
 
+  MenciusPropose() = default;
   MenciusPropose(InstanceId i, paxos::Value v) : instance(i), value(std::move(v)) {}
-  std::size_t WireSize() const override { return 8 + 8 + value.WireSize(); }
-  const char* TypeName() const override { return "mencius.Propose"; }
+  MRP_FIELDS(instance, value)
 };
 
 // Server -> owner: acceptance of the proposal.
-struct MenciusAck final : MessageBase {
-  InstanceId instance;
+struct MenciusAck final : Message<MenciusAck, MsgKind::kMenciusAck> {
+  InstanceId instance = 0;
 
+  MenciusAck() = default;
   explicit MenciusAck(InstanceId i) : instance(i) {}
-  std::size_t WireSize() const override { return 8 + 8; }
-  const char* TypeName() const override { return "mencius.Ack"; }
+  MRP_FIELDS(instance)
 };
 
 // Owner -> all servers: the instance is chosen (piggy-backing kept
 // simple: one small multicast per decided instance batch).
-struct MenciusCommit final : MessageBase {
+struct MenciusCommit final : Message<MenciusCommit, MsgKind::kMenciusCommit> {
   std::vector<InstanceId> instances;
 
+  MenciusCommit() = default;
   explicit MenciusCommit(std::vector<InstanceId> is) : instances(std::move(is)) {}
-  std::size_t WireSize() const override { return 8 + 4 + instances.size() * 8; }
-  const char* TypeName() const override { return "mencius.Commit"; }
+  MRP_FIELDS(instances)
 };
 
 class MenciusServer final : public Protocol {

@@ -33,73 +33,69 @@ struct TotemConfig {
 };
 
 // Client -> daemon.
-struct TotemSend final : MessageBase {
-  GroupId group;
-  NodeId client;
-  std::uint64_t client_seq;
-  std::uint32_t payload_size;
-  TimePoint sent_at;
+struct TotemSend final : Message<TotemSend, MsgKind::kTotemSend> {
+  GroupId group = 0;
+  NodeId client = kNoNode;
+  std::uint64_t client_seq = 0;
+  std::uint32_t payload_size = 0;
+  TimePoint sent_at{0};
 
+  TotemSend() = default;
   TotemSend(GroupId g, NodeId c, std::uint64_t s, std::uint32_t ps, TimePoint at)
       : group(g), client(c), client_seq(s), payload_size(ps), sent_at(at) {}
-  std::size_t WireSize() const override { return 4 + 4 + 8 + 4 + 8 + 8 + payload_size; }
-  const char* TypeName() const override { return "totem.Send"; }
+  MRP_FIELDS(group, client, client_seq, sent_at, wire::Payload(payload_size))
 };
 
 // Daemon -> all daemons (ip-multicast), globally sequenced.
-struct TotemData final : MessageBase {
-  std::uint64_t seq;
-  GroupId group;
-  NodeId client;
-  std::uint64_t client_seq;
-  std::uint32_t payload_size;
-  TimePoint sent_at;
+struct TotemData final : Message<TotemData, MsgKind::kTotemData> {
+  std::uint64_t seq = 0;
+  GroupId group = 0;
+  NodeId client = kNoNode;
+  std::uint64_t client_seq = 0;
+  std::uint32_t payload_size = 0;
+  TimePoint sent_at{0};
 
+  TotemData() = default;
   TotemData(std::uint64_t q, GroupId g, NodeId c, std::uint64_t cs,
             std::uint32_t ps, TimePoint at)
       : seq(q), group(g), client(c), client_seq(cs), payload_size(ps), sent_at(at) {}
-  std::size_t WireSize() const override {
-    return 8 + 4 + 4 + 8 + 4 + 8 + 8 + payload_size;
-  }
-  const char* TypeName() const override { return "totem.Data"; }
+  MRP_FIELDS(seq, group, client, client_seq, sent_at, wire::Payload(payload_size))
 };
 
 // Daemon -> connected client (delivery).
-struct TotemDeliver final : MessageBase {
-  std::uint64_t seq;
-  GroupId group;
-  NodeId client;
-  std::uint64_t client_seq;
-  std::uint32_t payload_size;
-  TimePoint sent_at;
+struct TotemDeliver final : Message<TotemDeliver, MsgKind::kTotemDeliver> {
+  std::uint64_t seq = 0;
+  GroupId group = 0;
+  NodeId client = kNoNode;
+  std::uint64_t client_seq = 0;
+  std::uint32_t payload_size = 0;
+  TimePoint sent_at{0};
 
+  TotemDeliver() = default;
   explicit TotemDeliver(const TotemData& d)
       : seq(d.seq), group(d.group), client(d.client), client_seq(d.client_seq),
         payload_size(d.payload_size), sent_at(d.sent_at) {}
-  std::size_t WireSize() const override {
-    return 8 + 4 + 4 + 8 + 4 + 8 + 8 + payload_size;
-  }
-  const char* TypeName() const override { return "totem.Deliver"; }
+  MRP_FIELDS(seq, group, client, client_seq, sent_at, wire::Payload(payload_size))
 };
 
 // Daemon -> daemon: retransmit the globally-sequenced messages in
 // [from_seq, from_seq + count) (gap detected in the ordered stream).
-struct TotemNack final : MessageBase {
-  std::uint64_t from_seq;
-  std::uint32_t count;
+struct TotemNack final : Message<TotemNack, MsgKind::kTotemNack> {
+  std::uint64_t from_seq = 0;
+  std::uint32_t count = 0;
 
+  TotemNack() = default;
   TotemNack(std::uint64_t from, std::uint32_t n) : from_seq(from), count(n) {}
-  std::size_t WireSize() const override { return 8 + 8 + 4; }
-  const char* TypeName() const override { return "totem.Nack"; }
+  MRP_FIELDS(from_seq, count)
 };
 
-struct TotemToken final : MessageBase {
-  std::uint64_t next_seq;
-  std::uint64_t rotation;
+struct TotemToken final : Message<TotemToken, MsgKind::kTotemToken> {
+  std::uint64_t next_seq = 0;
+  std::uint64_t rotation = 0;
 
+  TotemToken() = default;
   TotemToken(std::uint64_t s, std::uint64_t r) : next_seq(s), rotation(r) {}
-  std::size_t WireSize() const override { return 8 + 8 + 8; }
-  const char* TypeName() const override { return "totem.Token"; }
+  MRP_FIELDS(next_seq, rotation)
 };
 
 class TotemDaemon final : public Protocol {

@@ -1,9 +1,11 @@
 #include "net/codec.h"
 
-#include <optional>
+#include <array>
+#include <cstdint>
+#include <tuple>
+#include <type_traits>
 
 #include "paxos/messages.h"
-#include "paxos/value.h"
 #include "reconfig/messages.h"
 #include "recovery/messages.h"
 #include "ringpaxos/messages.h"
@@ -13,747 +15,84 @@
 namespace mrp::net {
 namespace {
 
-using paxos::ClientMsg;
-using paxos::Value;
-using namespace ringpaxos;  // NOLINT: the codec is about this message set
+// Every wire message. A frame is the message's kind tag (one byte), then
+// its fields as declared by MRP_FIELDS (common/wire.h).
+using WireMessages = std::tuple<
+    ringpaxos::Submit, ringpaxos::SubmitAck, ringpaxos::P2A, ringpaxos::P2B,
+    ringpaxos::DecisionMsg, ringpaxos::P1A, ringpaxos::P1B,
+    ringpaxos::Heartbeat, ringpaxos::HeartbeatAck, ringpaxos::LearnReq,
+    ringpaxos::LearnRep, ringpaxos::DeliveryAck, ringpaxos::TrimNotice,
+    smr::Response, smr::SnapshotReq, smr::SnapshotRep,
+    recovery::SnapshotRequest, recovery::SnapshotChunk, recovery::SnapshotDone,
+    recovery::CheckpointRequest, recovery::CheckpointReport,
+    recovery::FrontierAdvert, paxos::SubmitReq, paxos::Phase1A,
+    paxos::Phase1B, paxos::Phase2A, paxos::Phase2B, paxos::DecisionMsg,
+    paxos::LearnReq, session::LeaseGrant, session::LeaseAck,
+    session::LeaseRevoke, session::SessionRead, session::SessionReadRep,
+    session::Rejected, reconfig::RoutingUpdate, reconfig::HandoffRequest,
+    reconfig::PlanStatus>;
 
-// Bounds a length-prefixed collection's reserve() by what the remaining
-// frame bytes could possibly encode, so a short hostile frame declaring a
-// huge element count cannot force a large allocation up front. The decode
-// loop still fails fast on the first truncated element.
-std::size_t ClampReserve(std::uint64_t count, std::size_t remaining,
-                         std::size_t min_element_bytes) {
-  const std::uint64_t cap = remaining / min_element_bytes + 1;
-  return static_cast<std::size_t>(count < cap ? count : cap);
+template <class T>
+void EncodeAs(ByteWriter& w, const MessageBase& m) {
+  wire::Put(w, static_cast<const T&>(m));
 }
 
-enum class Tag : std::uint8_t {
-  kSubmit = 1,
-  kSubmitAck = 2,
-  kP2A = 3,
-  kP2B = 4,
-  kDecision = 5,
-  kP1A = 6,
-  kP1B = 7,
-  kHeartbeat = 8,
-  kHeartbeatAck = 9,
-  kLearnReq = 10,
-  kLearnRep = 11,
-  kDeliveryAck = 12,
-  kSmrResponse = 13,
-  kTrimNotice = 14,
-  kSmrSnapshotReq = 15,
-  kSmrSnapshotRep = 16,
-  // Checkpoint & recovery data plane (src/recovery, docs/RECOVERY.md).
-  kSnapshotRequest = 17,
-  kSnapshotChunk = 18,
-  kSnapshotDone = 19,
-  // Classic Paxos (plain-Paxos-backed groups over real transports).
-  kPxSubmit = 20,
-  kPxP1A = 21,
-  kPxP1B = 22,
-  kPxP2A = 23,
-  kPxP2B = 24,
-  kPxDecision = 25,
-  kPxLearnReq = 26,
-  // Checkpoint & recovery control plane.
-  kCheckpointRequest = 27,
-  kCheckpointReport = 28,
-  kFrontierAdvert = 29,
-  // Session control plane (src/session, docs/SESSIONS.md).
-  kLeaseGrant = 30,
-  kLeaseAck = 31,
-  kLeaseRevoke = 32,
-  kSessionRead = 33,
-  kSessionReadRep = 34,
-  kSessionRejected = 35,
-  // Elastic reconfiguration (src/reconfig, docs/RECONFIG.md).
-  kRoutingUpdate = 36,
-  kHandoffRequest = 37,
-  kPlanStatus = 38,
-};
-
-void PutClientMsg(ByteWriter& w, const ClientMsg& m) {
-  w.u32(m.group);
-  w.u32(m.proposer);
-  w.u64(m.seq);
-  w.i64(m.sent_at.count());
-  w.u32(m.payload_size);
-  w.bytes(m.payload);
-}
-
-std::optional<ClientMsg> GetClientMsg(ByteReader& r) {
-  ClientMsg m;
-  auto group = r.u32();
-  auto proposer = r.u32();
-  auto seq = r.u64();
-  auto sent = r.i64();
-  auto psize = r.u32();
-  auto payload = r.payload();
-  if (!group || !proposer || !seq || !sent || !psize || !payload) return std::nullopt;
-  // Invariant from paxos::ClientMsg: payload is either elided (accounting
-  // only) or its length matches payload_size exactly.
-  if (!payload->empty() && payload->size() != *psize) return std::nullopt;
-  m.group = *group;
-  m.proposer = *proposer;
-  m.seq = *seq;
-  m.sent_at = Duration(*sent);
-  m.payload_size = *psize;
-  m.payload = std::move(*payload);
+template <class T>
+MessagePtr DecodeAs(ByteReader& r) {
+  auto m = std::make_shared<T>();
+  if (!wire::Get(r, *m)) return nullptr;
   return m;
 }
 
-void PutValue(ByteWriter& w, const Value& v) {
-  w.u8(static_cast<std::uint8_t>(v.kind));
-  w.u64(v.skip_count);
-  w.varint(v.msgs.size());
-  for (const auto& m : v.msgs) PutClientMsg(w, m);
+struct KindCodec {
+  void (*encode)(ByteWriter&, const MessageBase&) = nullptr;
+  MessagePtr (*decode)(ByteReader&) = nullptr;
+};
+
+template <class... T>
+constexpr auto MakeCodecs(std::type_identity<std::tuple<T...>>) {
+  std::array<KindCodec, 256> codecs{};
+  ((codecs[static_cast<std::uint8_t>(T::kKind)] = {&EncodeAs<T>, &DecodeAs<T>}),
+   ...);
+  return codecs;
 }
 
-std::optional<Value> GetValue(ByteReader& r) {
-  Value v;
-  auto kind = r.u8();
-  auto skip = r.u64();
-  auto count = r.varint();
-  if (!kind || !skip || !count || *count > 1'000'000) return std::nullopt;
-  if (*kind > static_cast<std::uint8_t>(Value::Kind::kSkip)) return std::nullopt;
-  v.kind = static_cast<Value::Kind>(*kind);
-  v.skip_count = *skip;
-  // A serialized ClientMsg is at least 29 bytes (4+4+8+8+4 fixed + 1 varint).
-  v.msgs.reserve(ClampReserve(*count, r.remaining(), 29));
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    auto m = GetClientMsg(r);
-    if (!m) return std::nullopt;
-    v.msgs.push_back(std::move(*m));
+template <class... T>
+constexpr bool OneTypePerWireKind(std::type_identity<std::tuple<T...>>) {
+  std::array<int, 256> types{};
+  ((++types[static_cast<std::uint8_t>(T::kKind)]), ...);
+  for (std::size_t tag = 0; tag < types.size(); ++tag) {
+    if (types[tag] != (IsWireKind(MsgKind(tag)) ? 1 : 0)) return false;
   }
-  return v;
+  return true;
 }
+static_assert(OneTypePerWireKind(std::type_identity<WireMessages>{}),
+              "WireMessages must list exactly one type per wire kind");
 
-void PutDecided(ByteWriter& w, const std::vector<Decided>& ds) {
-  w.varint(ds.size());
-  for (const auto& d : ds) {
-    w.u64(d.instance);
-    w.u64(d.vid);
-  }
-}
+// Indexed by kind tag; null entries are not on the wire.
+constexpr auto kCodecs = MakeCodecs(std::type_identity<WireMessages>{});
 
-std::optional<std::vector<Decided>> GetDecided(ByteReader& r) {
-  auto n = r.varint();
-  if (!n || *n > 1'000'000) return std::nullopt;
-  std::vector<Decided> out;
-  out.reserve(ClampReserve(*n, r.remaining(), 16));
-  for (std::uint64_t i = 0; i < *n; ++i) {
-    auto inst = r.u64();
-    auto vid = r.u64();
-    if (!inst || !vid) return std::nullopt;
-    out.push_back({*inst, *vid});
-  }
-  return out;
-}
-
-void PutNodeList(ByteWriter& w, const std::vector<NodeId>& ns) {
-  w.varint(ns.size());
-  for (NodeId n : ns) w.u32(n);
-}
-
-void PutFrontiers(ByteWriter& w, const std::vector<recovery::RingFrontier>& fs) {
-  w.varint(fs.size());
-  for (const auto& f : fs) {
-    w.u32(f.ring);
-    w.u64(f.next_instance);
-  }
-}
-
-std::optional<std::vector<recovery::RingFrontier>> GetFrontiers(ByteReader& r) {
-  auto n = r.varint();
-  if (!n || *n > 100'000) return std::nullopt;
-  std::vector<recovery::RingFrontier> out;
-  out.reserve(ClampReserve(*n, r.remaining(), 12));
-  for (std::uint64_t i = 0; i < *n; ++i) {
-    auto ring = r.u32();
-    auto next = r.u64();
-    if (!ring || !next) return std::nullopt;
-    out.push_back({*ring, *next});
-  }
-  return out;
-}
-
-std::optional<std::vector<NodeId>> GetNodeList(ByteReader& r) {
-  auto n = r.varint();
-  if (!n || *n > 10'000) return std::nullopt;
-  std::vector<NodeId> out;
-  out.reserve(ClampReserve(*n, r.remaining(), 4));
-  for (std::uint64_t i = 0; i < *n; ++i) {
-    auto id = r.u32();
-    if (!id) return std::nullopt;
-    out.push_back(*id);
-  }
-  return out;
+MessagePtr DecodeFrame(ByteReader& r) {
+  auto tag = r.u8();
+  if (!tag || kCodecs[*tag].decode == nullptr) return nullptr;
+  return kCodecs[*tag].decode(r);
 }
 
 }  // namespace
 
 Bytes EncodeMessage(const MessageBase& msg) {
-  ByteWriter w(msg.WireSize() + 16);
+  ByteWriter w(msg.WireSize());
   if (!EncodeMessageTo(w, msg)) return {};
   return w.take();
 }
 
 bool EncodeMessageTo(ByteWriter& w, const MessageBase& msg) {
-  if (const auto* m = dynamic_cast<const Submit*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kSubmit));
-    w.u32(m->ring);
-    PutClientMsg(w, m->msg);
-  } else if (const auto* m = dynamic_cast<const SubmitAck*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kSubmitAck));
-    w.u32(m->ring);
-    w.u32(m->group);
-    w.u64(m->up_to_seq);
-  } else if (const auto* m = dynamic_cast<const P2A*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kP2A));
-    w.u32(m->ring);
-    w.u32(m->round);
-    w.u64(m->instance);
-    w.u64(m->vid);
-    PutValue(w, m->value);
-    PutDecided(w, m->decided);
-    PutNodeList(w, m->layout);
-  } else if (const auto* m = dynamic_cast<const P2B*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kP2B));
-    w.u32(m->ring);
-    w.u32(m->round);
-    w.u64(m->instance);
-    w.u64(m->vid);
-    w.u32(m->votes);
-  } else if (const auto* m = dynamic_cast<const DecisionMsg*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kDecision));
-    w.u32(m->ring);
-    PutDecided(w, m->decided);
-  } else if (const auto* m = dynamic_cast<const P1A*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kP1A));
-    w.u32(m->ring);
-    w.u32(m->round);
-    w.u64(m->from_instance);
-    PutNodeList(w, m->layout);
-  } else if (const auto* m = dynamic_cast<const P1B*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kP1B));
-    w.u32(m->ring);
-    w.u32(m->round);
-    w.varint(m->accepted.size());
-    for (const auto& e : m->accepted) {
-      w.u64(e.instance);
-      w.u32(e.vrnd);
-      PutValue(w, e.value);
-    }
-  } else if (const auto* m = dynamic_cast<const Heartbeat*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kHeartbeat));
-    w.u32(m->ring);
-    w.u32(m->round);
-    w.u32(m->coordinator);
-  } else if (const auto* m = dynamic_cast<const HeartbeatAck*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kHeartbeatAck));
-    w.u32(m->ring);
-    w.u32(m->round);
-  } else if (const auto* m = dynamic_cast<const LearnReq*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kLearnReq));
-    w.u32(m->ring);
-    w.u64(m->from_instance);
-    w.u32(m->max_values);
-  } else if (const auto* m = dynamic_cast<const LearnRep*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kLearnRep));
-    w.u32(m->ring);
-    w.varint(m->entries.size());
-    for (const auto& e : m->entries) {
-      w.u64(e.instance);
-      w.u64(e.vid);
-      PutValue(w, e.value);
-    }
-  } else if (const auto* m = dynamic_cast<const DeliveryAck*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kDeliveryAck));
-    w.u32(m->ring);
-    w.u32(m->group);
-    w.u64(m->seq);
-  } else if (const auto* m = dynamic_cast<const TrimNotice*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kTrimNotice));
-    w.u32(m->ring);
-    w.u64(m->low_watermark);
-    w.u64(m->high_watermark);
-  } else if (const auto* m = dynamic_cast<const smr::SnapshotReq*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kSmrSnapshotReq));
-    w.u32(m->partition);
-  } else if (const auto* m = dynamic_cast<const smr::SnapshotRep*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kSmrSnapshotRep));
-    w.u32(m->partition);
-    w.u64(m->applied);
-    w.varint(m->rows.size());
-    for (const auto& [k, v] : m->rows) {
-      w.u64(k);
-      w.str(v);
-    }
-  } else if (const auto* m = dynamic_cast<const recovery::SnapshotRequest*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kSnapshotRequest));
-    w.u64(m->checkpoint_id);
-    w.u32(m->from_chunk);
-    w.u32(m->max_chunks);
-  } else if (const auto* m = dynamic_cast<const recovery::SnapshotChunk*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kSnapshotChunk));
-    w.u64(m->checkpoint_id);
-    w.u32(m->index);
-    w.u32(m->total_chunks);
-    w.bytes(m->data);
-  } else if (const auto* m = dynamic_cast<const recovery::SnapshotDone*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kSnapshotDone));
-    w.u64(m->checkpoint_id);
-    w.u32(m->total_chunks);
-    w.u64(m->total_bytes);
-    w.u64(m->digest);
-  } else if (const auto* m = dynamic_cast<const recovery::CheckpointRequest*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kCheckpointRequest));
-    w.u64(m->epoch);
-  } else if (const auto* m = dynamic_cast<const recovery::CheckpointReport*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kCheckpointReport));
-    w.u64(m->epoch);
-    w.u64(m->checkpoint_id);
-    PutFrontiers(w, m->frontiers);
-  } else if (const auto* m = dynamic_cast<const recovery::FrontierAdvert*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kFrontierAdvert));
-    w.u64(m->epoch);
-    PutFrontiers(w, m->frontiers);
-  } else if (const auto* m = dynamic_cast<const paxos::SubmitReq*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kPxSubmit));
-    PutClientMsg(w, m->msg);
-  } else if (const auto* m = dynamic_cast<const paxos::Phase1A*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kPxP1A));
-    w.u64(m->instance);
-    w.u32(m->round);
-  } else if (const auto* m = dynamic_cast<const paxos::Phase1B*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kPxP1B));
-    w.u64(m->instance);
-    w.u32(m->round);
-    w.u32(m->accepted_round);
-    w.u8(m->accepted.has_value() ? 1 : 0);
-    if (m->accepted) PutValue(w, *m->accepted);
-  } else if (const auto* m = dynamic_cast<const paxos::Phase2A*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kPxP2A));
-    w.u64(m->instance);
-    w.u32(m->round);
-    PutValue(w, m->value);
-  } else if (const auto* m = dynamic_cast<const paxos::Phase2B*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kPxP2B));
-    w.u64(m->instance);
-    w.u32(m->round);
-  } else if (const auto* m = dynamic_cast<const paxos::DecisionMsg*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kPxDecision));
-    w.u64(m->instance);
-    w.u32(m->group);
-    PutValue(w, m->value);
-  } else if (const auto* m = dynamic_cast<const paxos::LearnReq*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kPxLearnReq));
-    w.u64(m->from_instance);
-  } else if (const auto* m = dynamic_cast<const smr::Response*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kSmrResponse));
-    w.u64(m->req_id);
-    w.u32(m->partition);
-    w.u8(m->ok ? 1 : 0);
-    w.varint(m->rows.size());
-    for (const auto& [k, v] : m->rows) {
-      w.u64(k);
-      w.str(v);
-    }
-    w.u32(m->redirect);
-  } else if (const auto* m = dynamic_cast<const session::LeaseGrant*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kLeaseGrant));
-    w.u32(m->group);
-    w.u64(m->epoch);
-    w.u32(m->holder);
-    w.u64(m->grant_point);
-    w.i64(m->expires_at.count());
-  } else if (const auto* m = dynamic_cast<const session::LeaseAck*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kLeaseAck));
-    w.u32(m->group);
-    w.u64(m->epoch);
-  } else if (const auto* m = dynamic_cast<const session::LeaseRevoke*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kLeaseRevoke));
-    w.u32(m->group);
-    w.u64(m->epoch);
-  } else if (const auto* m = dynamic_cast<const session::SessionRead*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kSessionRead));
-    w.u64(m->session_id);
-    w.u64(m->req_id);
-    w.u64(m->kmin);
-    w.u64(m->kmax);
-  } else if (const auto* m =
-                 dynamic_cast<const session::SessionReadRep*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kSessionReadRep));
-    w.u64(m->req_id);
-    w.u32(m->partition);
-    w.u8(m->status);
-    w.varint(m->rows.size());
-    for (const auto& [k, v] : m->rows) {
-      w.u64(k);
-      w.str(v);
-    }
-  } else if (const auto* m = dynamic_cast<const session::Rejected*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kSessionRejected));
-    w.u64(m->session_id);
-    w.u64(m->req_id);
-    w.u8(m->code);
-  } else if (const auto* m = dynamic_cast<const reconfig::RoutingUpdate*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kRoutingUpdate));
-    w.u64(m->version);
-    w.bytes(m->config);
-  } else if (const auto* m = dynamic_cast<const reconfig::HandoffRequest*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kHandoffRequest));
-    w.u64(m->plan_id);
-    w.u32(m->target_group);
-  } else if (const auto* m = dynamic_cast<const reconfig::PlanStatus*>(&msg)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kPlanStatus));
-    w.u64(m->plan_id);
-    w.u8(m->ok ? 1 : 0);
-  } else {
-    return false;
-  }
+  const auto tag = static_cast<std::uint8_t>(msg.kind());
+  if (kCodecs[tag].encode == nullptr) return false;
+  w.u8(tag);
+  kCodecs[tag].encode(w, msg);
   return true;
 }
-
-namespace {
-
-MessagePtr DecodeFrame(ByteReader& r) {
-  auto tag = r.u8();
-  if (!tag) return nullptr;
-  switch (static_cast<Tag>(*tag)) {
-    case Tag::kSubmit: {
-      auto ring = r.u32();
-      auto msg = GetClientMsg(r);
-      if (!ring || !msg) return nullptr;
-      return MakeMessage<Submit>(*ring, std::move(*msg));
-    }
-    case Tag::kSubmitAck: {
-      auto ring = r.u32();
-      auto group = r.u32();
-      auto seq = r.u64();
-      if (!ring || !group || !seq) return nullptr;
-      return MakeMessage<SubmitAck>(*ring, *group, *seq);
-    }
-    case Tag::kP2A: {
-      auto ring = r.u32();
-      auto round = r.u32();
-      auto inst = r.u64();
-      auto vid = r.u64();
-      if (!ring || !round || !inst || !vid) return nullptr;
-      auto value = GetValue(r);
-      if (!value) return nullptr;
-      auto decided = GetDecided(r);
-      auto layout = GetNodeList(r);
-      if (!decided || !layout) return nullptr;
-      return MakeMessage<P2A>(*ring, *round, *inst, *vid, std::move(*value),
-                              std::move(*decided), std::move(*layout));
-    }
-    case Tag::kP2B: {
-      auto ring = r.u32();
-      auto round = r.u32();
-      auto inst = r.u64();
-      auto vid = r.u64();
-      auto votes = r.u32();
-      if (!ring || !round || !inst || !vid || !votes) return nullptr;
-      return MakeMessage<P2B>(*ring, *round, *inst, *vid, *votes);
-    }
-    case Tag::kDecision: {
-      auto ring = r.u32();
-      auto decided = GetDecided(r);
-      if (!ring || !decided) return nullptr;
-      return MakeMessage<DecisionMsg>(*ring, std::move(*decided));
-    }
-    case Tag::kP1A: {
-      auto ring = r.u32();
-      auto round = r.u32();
-      auto from = r.u64();
-      auto layout = GetNodeList(r);
-      if (!ring || !round || !from || !layout) return nullptr;
-      return MakeMessage<P1A>(*ring, *round, *from, std::move(*layout));
-    }
-    case Tag::kP1B: {
-      auto ring = r.u32();
-      auto round = r.u32();
-      auto n = r.varint();
-      if (!ring || !round || !n || *n > 1'000'000) return nullptr;
-      std::vector<P1B::Entry> entries;
-      entries.reserve(ClampReserve(*n, r.remaining(), 22));
-      for (std::uint64_t i = 0; i < *n; ++i) {
-        auto inst = r.u64();
-        auto vrnd = r.u32();
-        if (!inst || !vrnd) return nullptr;
-        auto value = GetValue(r);
-        if (!value) return nullptr;
-        entries.push_back({*inst, *vrnd, std::move(*value)});
-      }
-      return MakeMessage<P1B>(*ring, *round, std::move(entries));
-    }
-    case Tag::kHeartbeat: {
-      auto ring = r.u32();
-      auto round = r.u32();
-      auto coord = r.u32();
-      if (!ring || !round || !coord) return nullptr;
-      return MakeMessage<Heartbeat>(*ring, *round, *coord);
-    }
-    case Tag::kHeartbeatAck: {
-      auto ring = r.u32();
-      auto round = r.u32();
-      if (!ring || !round) return nullptr;
-      return MakeMessage<HeartbeatAck>(*ring, *round);
-    }
-    case Tag::kLearnReq: {
-      auto ring = r.u32();
-      auto from = r.u64();
-      auto max = r.u32();
-      if (!ring || !from || !max) return nullptr;
-      return MakeMessage<LearnReq>(*ring, *from, *max);
-    }
-    case Tag::kLearnRep: {
-      auto ring = r.u32();
-      auto n = r.varint();
-      if (!ring || !n || *n > 1'000'000) return nullptr;
-      std::vector<LearnRep::Entry> entries;
-      entries.reserve(ClampReserve(*n, r.remaining(), 26));
-      for (std::uint64_t i = 0; i < *n; ++i) {
-        auto inst = r.u64();
-        auto vid = r.u64();
-        if (!inst || !vid) return nullptr;
-        auto value = GetValue(r);
-        if (!value) return nullptr;
-        entries.push_back({*inst, *vid, std::move(*value)});
-      }
-      return MakeMessage<LearnRep>(*ring, std::move(entries));
-    }
-    case Tag::kDeliveryAck: {
-      auto ring = r.u32();
-      auto group = r.u32();
-      auto seq = r.u64();
-      if (!ring || !group || !seq) return nullptr;
-      return MakeMessage<DeliveryAck>(*ring, *group, *seq);
-    }
-    case Tag::kTrimNotice: {
-      auto ring = r.u32();
-      auto low = r.u64();
-      auto high = r.u64();
-      if (!ring || !low || !high) return nullptr;
-      return MakeMessage<TrimNotice>(*ring, *low, *high);
-    }
-    case Tag::kSmrSnapshotReq: {
-      auto part = r.u32();
-      if (!part) return nullptr;
-      return MakeMessage<smr::SnapshotReq>(*part);
-    }
-    case Tag::kSmrSnapshotRep: {
-      auto part = r.u32();
-      auto applied = r.u64();
-      auto n = r.varint();
-      if (!part || !applied || !n || *n > 10'000'000) return nullptr;
-      std::vector<std::pair<smr::Key, std::string>> rows;
-      rows.reserve(ClampReserve(*n, r.remaining(), 9));
-      for (std::uint64_t i = 0; i < *n; ++i) {
-        auto k = r.u64();
-        auto v = r.str();
-        if (!k || !v) return nullptr;
-        rows.emplace_back(*k, std::move(*v));
-      }
-      return MakeMessage<smr::SnapshotRep>(*part, *applied, std::move(rows));
-    }
-    case Tag::kSnapshotRequest: {
-      auto id = r.u64();
-      auto from = r.u32();
-      auto max = r.u32();
-      if (!id || !from || !max) return nullptr;
-      return MakeMessage<recovery::SnapshotRequest>(*id, *from, *max);
-    }
-    case Tag::kSnapshotChunk: {
-      auto id = r.u64();
-      auto index = r.u32();
-      auto total = r.u32();
-      auto data = r.bytes();
-      if (!id || !index || !total || !data) return nullptr;
-      return MakeMessage<recovery::SnapshotChunk>(*id, *index, *total,
-                                                  std::move(*data));
-    }
-    case Tag::kSnapshotDone: {
-      auto id = r.u64();
-      auto total = r.u32();
-      auto bytes = r.u64();
-      auto digest = r.u64();
-      if (!id || !total || !bytes || !digest) return nullptr;
-      return MakeMessage<recovery::SnapshotDone>(*id, *total, *bytes, *digest);
-    }
-    case Tag::kCheckpointRequest: {
-      auto epoch = r.u64();
-      if (!epoch) return nullptr;
-      return MakeMessage<recovery::CheckpointRequest>(*epoch);
-    }
-    case Tag::kCheckpointReport: {
-      auto epoch = r.u64();
-      auto id = r.u64();
-      if (!epoch || !id) return nullptr;
-      auto frontiers = GetFrontiers(r);
-      if (!frontiers) return nullptr;
-      return MakeMessage<recovery::CheckpointReport>(*epoch, *id,
-                                                     std::move(*frontiers));
-    }
-    case Tag::kFrontierAdvert: {
-      auto epoch = r.u64();
-      auto frontiers = GetFrontiers(r);
-      if (!epoch || !frontiers) return nullptr;
-      return MakeMessage<recovery::FrontierAdvert>(*epoch,
-                                                   std::move(*frontiers));
-    }
-    case Tag::kPxSubmit: {
-      auto msg = GetClientMsg(r);
-      if (!msg) return nullptr;
-      return MakeMessage<paxos::SubmitReq>(std::move(*msg));
-    }
-    case Tag::kPxP1A: {
-      auto inst = r.u64();
-      auto round = r.u32();
-      if (!inst || !round) return nullptr;
-      return MakeMessage<paxos::Phase1A>(*inst, *round);
-    }
-    case Tag::kPxP1B: {
-      auto inst = r.u64();
-      auto round = r.u32();
-      auto vrnd = r.u32();
-      auto has = r.u8();
-      if (!inst || !round || !vrnd || !has) return nullptr;
-      std::optional<Value> value;
-      if (*has) {
-        auto v = GetValue(r);
-        if (!v) return nullptr;
-        value = std::move(*v);
-      }
-      return MakeMessage<paxos::Phase1B>(*inst, *round, *vrnd, std::move(value));
-    }
-    case Tag::kPxP2A: {
-      auto inst = r.u64();
-      auto round = r.u32();
-      if (!inst || !round) return nullptr;
-      auto value = GetValue(r);
-      if (!value) return nullptr;
-      return MakeMessage<paxos::Phase2A>(*inst, *round, std::move(*value));
-    }
-    case Tag::kPxP2B: {
-      auto inst = r.u64();
-      auto round = r.u32();
-      if (!inst || !round) return nullptr;
-      return MakeMessage<paxos::Phase2B>(*inst, *round);
-    }
-    case Tag::kPxDecision: {
-      auto inst = r.u64();
-      auto group = r.u32();
-      if (!inst || !group) return nullptr;
-      auto value = GetValue(r);
-      if (!value) return nullptr;
-      return MakeMessage<paxos::DecisionMsg>(*inst, std::move(*value), *group);
-    }
-    case Tag::kPxLearnReq: {
-      auto inst = r.u64();
-      if (!inst) return nullptr;
-      return MakeMessage<paxos::LearnReq>(*inst);
-    }
-    case Tag::kSmrResponse: {
-      auto req = r.u64();
-      auto part = r.u32();
-      auto ok = r.u8();
-      auto n = r.varint();
-      if (!req || !part || !ok || !n || *n > 1'000'000) return nullptr;
-      std::vector<std::pair<smr::Key, std::string>> rows;
-      rows.reserve(ClampReserve(*n, r.remaining(), 9));
-      for (std::uint64_t i = 0; i < *n; ++i) {
-        auto k = r.u64();
-        auto v = r.str();
-        if (!k || !v) return nullptr;
-        rows.emplace_back(*k, std::move(*v));
-      }
-      auto redirect = r.u32();
-      if (!redirect) return nullptr;
-      return MakeMessage<smr::Response>(*req, *part, *ok != 0, std::move(rows),
-                                        *redirect);
-    }
-    case Tag::kLeaseGrant: {
-      auto group = r.u32();
-      auto epoch = r.u64();
-      auto holder = r.u32();
-      auto point = r.u64();
-      auto expires = r.i64();
-      if (!group || !epoch || !holder || !point || !expires) return nullptr;
-      return MakeMessage<session::LeaseGrant>(*group, *epoch, *holder, *point,
-                                              TimePoint(Duration(*expires)));
-    }
-    case Tag::kLeaseAck: {
-      auto group = r.u32();
-      auto epoch = r.u64();
-      if (!group || !epoch) return nullptr;
-      return MakeMessage<session::LeaseAck>(*group, *epoch);
-    }
-    case Tag::kLeaseRevoke: {
-      auto group = r.u32();
-      auto epoch = r.u64();
-      if (!group || !epoch) return nullptr;
-      return MakeMessage<session::LeaseRevoke>(*group, *epoch);
-    }
-    case Tag::kSessionRead: {
-      auto sid = r.u64();
-      auto req = r.u64();
-      auto kmin = r.u64();
-      auto kmax = r.u64();
-      if (!sid || !req || !kmin || !kmax) return nullptr;
-      return MakeMessage<session::SessionRead>(*sid, *req, *kmin, *kmax);
-    }
-    case Tag::kSessionReadRep: {
-      auto req = r.u64();
-      auto part = r.u32();
-      auto status = r.u8();
-      auto n = r.varint();
-      if (!req || !part || !status || !n || *n > 1'000'000) return nullptr;
-      if (*status > session::SessionReadRep::kNoLease) return nullptr;
-      std::vector<std::pair<std::uint64_t, std::string>> rows;
-      rows.reserve(ClampReserve(*n, r.remaining(), 9));
-      for (std::uint64_t i = 0; i < *n; ++i) {
-        auto k = r.u64();
-        auto v = r.str();
-        if (!k || !v) return nullptr;
-        rows.emplace_back(*k, std::move(*v));
-      }
-      return MakeMessage<session::SessionReadRep>(*req, *part, *status,
-                                                  std::move(rows));
-    }
-    case Tag::kSessionRejected: {
-      auto sid = r.u64();
-      auto req = r.u64();
-      auto code = r.u8();
-      if (!sid || !req || !code) return nullptr;
-      return MakeMessage<session::Rejected>(*sid, *req, *code);
-    }
-    case Tag::kRoutingUpdate: {
-      auto version = r.u64();
-      auto config = r.bytes();
-      if (!version || !config) return nullptr;
-      return MakeMessage<reconfig::RoutingUpdate>(*version,
-                                                  std::move(*config));
-    }
-    case Tag::kHandoffRequest: {
-      auto id = r.u64();
-      auto target = r.u32();
-      if (!id || !target) return nullptr;
-      return MakeMessage<reconfig::HandoffRequest>(*id, *target);
-    }
-    case Tag::kPlanStatus: {
-      auto id = r.u64();
-      auto ok = r.u8();
-      if (!id || !ok) return nullptr;
-      return MakeMessage<reconfig::PlanStatus>(*id, *ok != 0);
-    }
-  }
-  return nullptr;
-}
-
-}  // namespace
 
 MessagePtr DecodeMessage(std::span<const std::uint8_t> frame) {
   ByteReader r(frame);

@@ -14,78 +14,76 @@
 namespace mrp::paxos {
 
 // Client value submission (proposer -> coordinator).
-struct SubmitReq final : MessageBase {
+struct SubmitReq final : Message<SubmitReq, MsgKind::kPaxosSubmit> {
   ClientMsg msg;
 
+  SubmitReq() = default;
   explicit SubmitReq(ClientMsg m) : msg(std::move(m)) {}
-  std::size_t WireSize() const override { return 8 + msg.WireSize(); }
-  const char* TypeName() const override { return "paxos.Submit"; }
+  MRP_FIELDS(msg)
 };
 
-struct Phase1A final : MessageBase {
-  InstanceId instance;
-  Round round;
+struct Phase1A final : Message<Phase1A, MsgKind::kPaxosP1A> {
+  InstanceId instance = 0;
+  Round round = 0;
 
+  Phase1A() = default;
   Phase1A(InstanceId i, Round r) : instance(i), round(r) {}
-  std::size_t WireSize() const override { return 8 + 8 + 4; }
-  const char* TypeName() const override { return "paxos.P1A"; }
+  MRP_FIELDS(instance, round)
 };
 
-struct Phase1B final : MessageBase {
-  InstanceId instance;
-  Round round;            // the round being promised
-  Round accepted_round;   // vrnd (0 if none)
+struct Phase1B final : Message<Phase1B, MsgKind::kPaxosP1B> {
+  InstanceId instance = 0;
+  Round round = 0;                // the round being promised
+  Round accepted_round = 0;       // vrnd (0 if none)
   std::optional<Value> accepted;  // vval
 
+  Phase1B() = default;
   Phase1B(InstanceId i, Round r, Round vrnd, std::optional<Value> vval)
       : instance(i), round(r), accepted_round(vrnd), accepted(std::move(vval)) {}
-  std::size_t WireSize() const override {
-    return 8 + 8 + 4 + 4 + (accepted ? accepted->WireSize() : 1);
-  }
-  const char* TypeName() const override { return "paxos.P1B"; }
+  MRP_FIELDS(instance, round, accepted_round, accepted)
 };
 
-struct Phase2A final : MessageBase {
-  InstanceId instance;
-  Round round;
+struct Phase2A final : Message<Phase2A, MsgKind::kPaxosP2A> {
+  InstanceId instance = 0;
+  Round round = 0;
   Value value;
 
+  Phase2A() = default;
   Phase2A(InstanceId i, Round r, Value v) : instance(i), round(r), value(std::move(v)) {}
-  std::size_t WireSize() const override { return 8 + 8 + 4 + value.WireSize(); }
-  const char* TypeName() const override { return "paxos.P2A"; }
+  MRP_FIELDS(instance, round, value)
 };
 
-struct Phase2B final : MessageBase {
-  InstanceId instance;
-  Round round;
+struct Phase2B final : Message<Phase2B, MsgKind::kPaxosP2B> {
+  InstanceId instance = 0;
+  Round round = 0;
 
+  Phase2B() = default;
   Phase2B(InstanceId i, Round r) : instance(i), round(r) {}
-  std::size_t WireSize() const override { return 8 + 8 + 4; }
-  const char* TypeName() const override { return "paxos.P2B"; }
+  MRP_FIELDS(instance, round)
 };
 
-struct DecisionMsg final : MessageBase {
-  InstanceId instance;
+struct DecisionMsg final : Message<DecisionMsg, MsgKind::kPaxosDecision> {
+  InstanceId instance = 0;
   Value value;
   // Group ordered by this Paxos instance (tags the decision stream when
   // plain Paxos backs a Multi-Ring group; see multiring/paxos_group.h).
-  GroupId group;
+  GroupId group = 0;
 
+  DecisionMsg() = default;
   DecisionMsg(InstanceId i, Value v, GroupId g = 0)
       : instance(i), value(std::move(v)), group(g) {}
-  std::size_t WireSize() const override { return 8 + 8 + 4 + value.WireSize(); }
-  const char* TypeName() const override { return "paxos.Decision"; }
+  MRP_FIELDS(instance, group, value)
 };
 
 // Learner gap recovery: asks a proposer to retransmit decisions starting
 // at `from_instance` (lost Decision multicasts otherwise stall the
 // learner's in-order delivery window).
-struct LearnReq final : MessageBase {
-  InstanceId from_instance;
+struct LearnReq final : Message<LearnReq, MsgKind::kPaxosLearnReq> {
+  InstanceId from_instance = 0;
 
+  LearnReq() = default;
   explicit LearnReq(InstanceId from) : from_instance(from) {}
-  std::size_t WireSize() const override { return 8 + 8; }
-  const char* TypeName() const override { return "paxos.LearnReq"; }
+  MRP_FIELDS(from_instance)
 };
 
 }  // namespace mrp::paxos

@@ -13,6 +13,7 @@
 #include "common/bytes.h"
 #include "common/fingerprint.h"
 #include "common/types.h"
+#include "common/wire.h"
 
 namespace mrp::paxos {
 
@@ -30,8 +31,9 @@ struct ClientMsg {
   // decode can view the receive frame instead of copying (net/codec.h).
   PayloadBuf payload;
 
-  static constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 4;
-  std::size_t WireSize() const { return kHeaderBytes + payload_size; }
+  MRP_FIELDS(group, proposer, seq, sent_at, wire::Payload(payload_size, payload))
+  // Encoded size, a size-only payload counted as if materialised.
+  std::size_t WireSize() const { return wire::Size(*this); }
 
   friend bool operator==(const ClientMsg& a, const ClientMsg& b) {
     return a.group == b.group && a.proposer == b.proposer && a.seq == b.seq &&
@@ -87,11 +89,8 @@ struct Value {
     return total;
   }
 
-  std::size_t WireSize() const {
-    std::size_t total = 1 + 8 + 4;  // kind + skip_count + msg count
-    for (const auto& m : msgs) total += m.WireSize();
-    return total;
-  }
+  MRP_FIELDS(wire::Enum(kind, Kind::kSkip), skip_count, msgs)
+  std::size_t WireSize() const { return wire::Size(*this); }
 
   friend bool operator==(const Value& a, const Value& b) {
     return a.kind == b.kind && a.skip_count == b.skip_count && a.msgs == b.msgs;

@@ -20,32 +20,32 @@
 
 namespace mrp::reconfig {
 
-struct RoutingUpdate final : MessageBase {
+struct RoutingUpdate final : Message<RoutingUpdate, MsgKind::kRoutingUpdate> {
   std::uint64_t version = 0;
   Bytes config;  // RingConfiguration::Encode()
 
+  RoutingUpdate() = default;
   RoutingUpdate(std::uint64_t v, Bytes c) : version(v), config(std::move(c)) {}
-  std::size_t WireSize() const override { return 1 + 8 + 4 + config.size(); }
-  const char* TypeName() const override { return "reconfig.RoutingUpdate"; }
+  MRP_FIELDS(version, config)
 };
 
-struct HandoffRequest final : MessageBase {
+struct HandoffRequest final : Message<HandoffRequest, MsgKind::kHandoffRequest> {
   std::uint64_t plan_id = 0;
   GroupId target_group = 0;
 
+  HandoffRequest() = default;
   HandoffRequest(std::uint64_t id, GroupId target)
       : plan_id(id), target_group(target) {}
-  std::size_t WireSize() const override { return 1 + 8 + 4; }
-  const char* TypeName() const override { return "reconfig.HandoffRequest"; }
+  MRP_FIELDS(plan_id, target_group)
 };
 
-struct PlanStatus final : MessageBase {
+struct PlanStatus final : Message<PlanStatus, MsgKind::kPlanStatus> {
   std::uint64_t plan_id = 0;
   bool ok = false;
 
+  PlanStatus() = default;
   PlanStatus(std::uint64_t id, bool okay) : plan_id(id), ok(okay) {}
-  std::size_t WireSize() const override { return 1 + 8 + 1; }
-  const char* TypeName() const override { return "reconfig.PlanStatus"; }
+  MRP_FIELDS(plan_id, ok)
 };
 
 }  // namespace mrp::reconfig

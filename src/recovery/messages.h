@@ -31,86 +31,86 @@ namespace mrp::recovery {
 struct RingFrontier {
   RingId ring = 0;
   InstanceId next_instance = 0;
+  MRP_FIELDS(ring, next_instance)
 
   friend bool operator==(const RingFrontier& a, const RingFrontier& b) {
     return a.ring == b.ring && a.next_instance == b.next_instance;
   }
 };
 
-struct CheckpointRequest final : MessageBase {
+// Decode cap on the ring count of a frontier list.
+inline constexpr std::uint64_t kMaxFrontiers = 100'000;
+
+struct CheckpointRequest final : Message<CheckpointRequest, MsgKind::kCheckpointRequest> {
   std::uint64_t epoch = 0;
 
+  CheckpointRequest() = default;
   explicit CheckpointRequest(std::uint64_t e) : epoch(e) {}
-  std::size_t WireSize() const override { return 1 + 8; }
-  const char* TypeName() const override { return "recovery.CheckpointRequest"; }
+  MRP_FIELDS(epoch)
 };
 
-struct CheckpointReport final : MessageBase {
+struct CheckpointReport final : Message<CheckpointReport, MsgKind::kCheckpointReport> {
   std::uint64_t epoch = 0;
   std::uint64_t checkpoint_id = 0;
   std::vector<RingFrontier> frontiers;
 
+  CheckpointReport() = default;
   CheckpointReport(std::uint64_t e, std::uint64_t id,
                    std::vector<RingFrontier> f)
       : epoch(e), checkpoint_id(id), frontiers(std::move(f)) {}
-  std::size_t WireSize() const override {
-    return 1 + 8 + 8 + 2 + frontiers.size() * 12;
-  }
-  const char* TypeName() const override { return "recovery.CheckpointReport"; }
+  MRP_FIELDS(epoch, checkpoint_id, wire::AtMost<kMaxFrontiers>(frontiers))
 };
 
-struct FrontierAdvert final : MessageBase {
+struct FrontierAdvert final : Message<FrontierAdvert, MsgKind::kFrontierAdvert> {
   std::uint64_t epoch = 0;
   std::vector<RingFrontier> frontiers;  // stable (cluster-min) per ring
 
+  FrontierAdvert() = default;
   FrontierAdvert(std::uint64_t e, std::vector<RingFrontier> f)
       : epoch(e), frontiers(std::move(f)) {}
-  std::size_t WireSize() const override {
-    return 1 + 8 + 2 + frontiers.size() * 12;
-  }
-  const char* TypeName() const override { return "recovery.FrontierAdvert"; }
+  MRP_FIELDS(epoch, wire::AtMost<kMaxFrontiers>(frontiers))
 };
 
-struct SnapshotRequest final : MessageBase {
+struct SnapshotRequest final : Message<SnapshotRequest, MsgKind::kSnapshotRequest> {
   std::uint64_t checkpoint_id = 0;  // 0 = the peer's latest checkpoint
   std::uint32_t from_chunk = 0;
   std::uint32_t max_chunks = 0;  // flow-control window per request
 
+  SnapshotRequest() = default;
   SnapshotRequest(std::uint64_t id, std::uint32_t from, std::uint32_t max)
       : checkpoint_id(id), from_chunk(from), max_chunks(max) {}
-  std::size_t WireSize() const override { return 1 + 8 + 4 + 4; }
-  const char* TypeName() const override { return "recovery.SnapshotRequest"; }
+  MRP_FIELDS(checkpoint_id, from_chunk, max_chunks)
 };
 
-struct SnapshotChunk final : MessageBase {
+struct SnapshotChunk final : Message<SnapshotChunk, MsgKind::kSnapshotChunk> {
   std::uint64_t checkpoint_id = 0;
   std::uint32_t index = 0;
   std::uint32_t total_chunks = 0;
   Bytes data;
 
+  SnapshotChunk() = default;
   SnapshotChunk(std::uint64_t id, std::uint32_t i, std::uint32_t total,
                 Bytes d)
       : checkpoint_id(id), index(i), total_chunks(total), data(std::move(d)) {}
-  std::size_t WireSize() const override { return 1 + 8 + 4 + 4 + 4 + data.size(); }
-  const char* TypeName() const override { return "recovery.SnapshotChunk"; }
+  MRP_FIELDS(checkpoint_id, index, total_chunks, data)
 };
 
 // total_chunks == 0 means "checkpoint unavailable" (the peer has no
 // checkpoint yet, or the pinned id was already dropped from its store);
 // the requester resets and retries — against the next peer if it keeps
 // happening.
-struct SnapshotDone final : MessageBase {
+struct SnapshotDone final : Message<SnapshotDone, MsgKind::kSnapshotDone> {
   std::uint64_t checkpoint_id = 0;
   std::uint32_t total_chunks = 0;
   std::uint64_t total_bytes = 0;
   std::uint64_t digest = 0;  // FNV-1a over the full encoded checkpoint
 
+  SnapshotDone() = default;
   SnapshotDone(std::uint64_t id, std::uint32_t total, std::uint64_t bytes,
                std::uint64_t dig)
       : checkpoint_id(id), total_chunks(total), total_bytes(bytes),
         digest(dig) {}
-  std::size_t WireSize() const override { return 1 + 8 + 4 + 8 + 8; }
-  const char* TypeName() const override { return "recovery.SnapshotDone"; }
+  MRP_FIELDS(checkpoint_id, total_chunks, total_bytes, digest)
 };
 
 }  // namespace mrp::recovery

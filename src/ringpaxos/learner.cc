@@ -35,7 +35,7 @@ void LearnerCore::SyncCacheGauges() {
 }
 
 bool LearnerCore::OnRingMessage(Env& env, const MessagePtr& m) {
-  const auto* rm = dynamic_cast<const RingMessage*>(m.get());
+  const auto* rm = AsRingMessage(m);
   if (rm == nullptr || rm->ring != opts_.ring.ring) return false;
   EnsureCounters(env);
 

@@ -142,7 +142,7 @@ void Proposer::AfterAck(Env& env) {
 }
 
 void Proposer::OnMessage(Env& env, NodeId /*from*/, const MessagePtr& m) {
-  const auto* rm = dynamic_cast<const RingMessage*>(m.get());
+  const auto* rm = AsRingMessage(m);
   if (rm == nullptr || rm->ring != cfg_.ring) return;
 
   if (const auto* ack = Cast<SubmitAck>(m)) {

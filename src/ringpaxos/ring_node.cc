@@ -81,7 +81,7 @@ void RingNode::OnMessage(Env& env, NodeId from, const MessagePtr& m) {
     AdvanceDecidedWatermark();
     return;
   }
-  const auto* rm = dynamic_cast<const RingMessage*>(m.get());
+  const auto* rm = AsRingMessage(m);
   if (rm == nullptr || rm->ring != cfg_.ring) return;
 
   if (const auto* p2a = Cast<P2A>(m)) {

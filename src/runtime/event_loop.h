@@ -25,10 +25,12 @@ class EventLoop {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  void Start() {
+  // `first`, if set, runs ahead of every task posted before or after.
+  void Start(std::function<void()> first = nullptr) {
     std::scoped_lock lock(mu_);
     if (running_) return;
     running_ = true;
+    if (first) tasks_.push_front(std::move(first));
     thread_ = std::thread([this] { Run(); });
   }
 

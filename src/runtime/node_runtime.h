@@ -44,9 +44,10 @@ class NodeRuntime final : public Env {
   Rng& rng() override { return rng_; }
 
   // ---- Lifecycle ----
+  // OnStart is the first task the loop runs: messages that arrived
+  // before Start() wait in the queue behind it.
   void Start() {
-    loop_.Start();
-    loop_.Post([this] { protocol_->OnStart(*this); });
+    loop_.Start([this] { protocol_->OnStart(*this); });
   }
   void Stop() { loop_.Stop(); }
 

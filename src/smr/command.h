@@ -143,53 +143,45 @@ struct Command {
 // response per involved partition. `redirect` != kNoGroup is a routing
 // hint on a refused command: the key range moved to that group
 // (docs/RECONFIG.md) — retry there, don't count this as a result.
-struct Response final : MessageBase {
-  std::uint64_t req_id;
-  GroupId partition;
-  bool ok;
+struct Response final : Message<Response, MsgKind::kSmrResponse> {
+  std::uint64_t req_id = 0;
+  GroupId partition = 0;
+  bool ok = false;
   std::vector<std::pair<Key, std::string>> rows;  // query results
   GroupId redirect = kNoGroup;
 
+  Response() = default;
   Response(std::uint64_t id, GroupId p, bool okay,
            std::vector<std::pair<Key, std::string>> r = {},
            GroupId redir = kNoGroup)
       : req_id(id), partition(p), ok(okay), rows(std::move(r)),
         redirect(redir) {}
-  std::size_t WireSize() const override {
-    std::size_t n = 8 + 4 + 1 + 4 + 8 + 4;
-    for (const auto& [k, v] : rows) n += 8 + 4 + v.size();
-    return n;
-  }
-  const char* TypeName() const override { return "smr.Response"; }
+  MRP_FIELDS(req_id, partition, ok, rows, redirect)
 };
 
 // New replica -> peer replica: request a full state snapshot of the
 // partition (bootstrap after a late join; the atomic-multicast log
 // below the acceptors' trim point is no longer replayable).
-struct SnapshotReq final : MessageBase {
-  GroupId partition;
+struct SnapshotReq final : Message<SnapshotReq, MsgKind::kSmrSnapshotReq> {
+  GroupId partition = 0;
 
+  SnapshotReq() = default;
   explicit SnapshotReq(GroupId p) : partition(p) {}
-  std::size_t WireSize() const override { return 8 + 4; }
-  const char* TypeName() const override { return "smr.SnapshotReq"; }
+  MRP_FIELDS(partition)
 };
 
 // Peer replica -> new replica: the partition state. Replay of the tail
 // of the multicast stream on top of this converges because the service
 // commands are idempotent (insert/delete by key).
-struct SnapshotRep final : MessageBase {
-  GroupId partition;
-  std::uint64_t applied;  // commands applied when the snapshot was taken
+struct SnapshotRep final : Message<SnapshotRep, MsgKind::kSmrSnapshotRep> {
+  GroupId partition = 0;
+  std::uint64_t applied = 0;  // commands applied when the snapshot was taken
   std::vector<std::pair<Key, std::string>> rows;
 
+  SnapshotRep() = default;
   SnapshotRep(GroupId p, std::uint64_t a, std::vector<std::pair<Key, std::string>> r)
       : partition(p), applied(a), rows(std::move(r)) {}
-  std::size_t WireSize() const override {
-    std::size_t n = 8 + 4 + 8 + 4;
-    for (const auto& [k, v] : rows) n += 8 + 4 + v.size();
-    return n;
-  }
-  const char* TypeName() const override { return "smr.SnapshotRep"; }
+  MRP_FIELDS(partition, applied, wire::AtMost<10'000'000>(rows))
 };
 
 }  // namespace mrp::smr

@@ -217,6 +217,52 @@ TEST(LocalClusterUdp, MultiRingDeliversOverRealMulticast) {
   EXPECT_TRUE(result.merged_two_groups);
 }
 
+// Sends one message to `peer` from OnStart, and counts messages handled
+// before its own OnStart ran.
+class StartOrderProbe final : public Protocol {
+ public:
+  StartOrderProbe(NodeId peer, std::atomic<int>& early, std::atomic<int>& received)
+      : peer_(peer), early_(early), received_(received) {}
+  void OnStart(Env& env) override {
+    started_ = true;
+    if (peer_ != kNoNode) env.Send(peer_, MakeMessage<HeartbeatAck>(0, 0));
+  }
+  void OnMessage(Env&, NodeId, const MessagePtr&) override {
+    if (!started_) early_.fetch_add(1);
+    received_.fetch_add(1);
+  }
+
+ private:
+  NodeId peer_;
+  std::atomic<int>& early_;
+  std::atomic<int>& received_;
+  bool started_ = false;  // touched only on the node's loop thread
+};
+
+TEST(LocalClusterInProc, OnStartRunsBeforeAnyMessage) {
+  // Nodes start in id order, so the senders' OnStart can run before the
+  // receiver (the last node) has started. Its OnStart must still run
+  // before the messages that queued up for it.
+  constexpr int kRounds = 200;
+  constexpr int kSenders = 4;
+  std::atomic<int> early{0};
+  std::atomic<int> received{0};
+  for (int round = 1; round <= kRounds; ++round) {
+    LocalCluster cluster(LocalCluster::Kind::kInProc);
+    for (int i = 0; i < kSenders; ++i) {
+      cluster.AddNode(std::make_unique<StartOrderProbe>(kSenders, early, received));
+    }
+    cluster.AddNode(std::make_unique<StartOrderProbe>(kNoNode, early, received));
+    cluster.Start();
+    for (int waits = 0; received.load() < round * kSenders && waits < 50'000; ++waits) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    cluster.Stop();
+  }
+  EXPECT_EQ(received.load(), kRounds * kSenders);
+  EXPECT_EQ(early.load(), 0);
+}
+
 }  // namespace
 }  // namespace mrp::runtime
 

@@ -278,12 +278,12 @@ TEST(Scheduler, WheelMatchesPriorityQueueOnRandomSchedules) {
 
 // ---- Test protocol plumbing ----
 
-struct TestMsg final : MessageBase {
-  std::size_t size;
-  int tag;
-  explicit TestMsg(std::size_t s, int t = 0) : size(s), tag(t) {}
-  std::size_t WireSize() const override { return size; }
-  const char* TypeName() const override { return "test.Msg"; }
+// `size` wire bytes: the kind byte, the tag, then filler.
+struct TestMsg final : Message<TestMsg, TestKind(2)> {
+  int tag = 0;
+  wire::Pad pad;
+  explicit TestMsg(std::size_t size, int t = 0) : tag(t), pad{size - 1 - sizeof tag} {}
+  MRP_FIELDS(tag, pad)
 };
 
 class Recorder final : public Protocol {

@@ -51,12 +51,12 @@ TEST(RingConfig, RoundOwnershipPartitionsRounds) {
 
 // ------------------------------------------------------ sim FIFO clamp
 
-struct StampMsg final : MessageBase {
-  int tag;
-  std::size_t size;
-  StampMsg(int t, std::size_t s) : tag(t), size(s) {}
-  std::size_t WireSize() const override { return size; }
-  const char* TypeName() const override { return "test.Stamp"; }
+// `size` wire bytes: the kind byte, the tag, then filler.
+struct StampMsg final : Message<StampMsg, TestKind(1)> {
+  int tag = 0;
+  wire::Pad pad;
+  StampMsg(int t, std::size_t size) : tag(t), pad{size - 1 - sizeof tag} {}
+  MRP_FIELDS(tag, pad)
 };
 
 class OrderRecorder final : public Protocol {
