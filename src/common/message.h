@@ -133,6 +133,11 @@ constexpr bool IsWireKind(MsgKind k) {
   return IsKnownKind(k) && static_cast<std::uint8_t>(k) < kFirstSimOnlyKind;
 }
 
+// Largest WireSize() a transport must carry. UDP sends one message per
+// datagram and drops anything larger, so builders of variable-size
+// messages (ringpaxos::LearnRep) stop before they would exceed it.
+inline constexpr std::size_t kMaxWireMessage = 60 * 1024;
+
 class MessageBase {
  public:
   virtual ~MessageBase() = default;

@@ -242,12 +242,15 @@ void RingNode::OnLearnReq(Env& env, NodeId from, const LearnReq& msg) {
              MakeMessage<TrimNotice>(cfg_.ring, base, decided_watermark_));
     return;
   }
+  // The reply is one wire message: it stops before its encoding would
+  // exceed kMaxWireMessage (the learner asks again for the rest) but
+  // always carries at least one entry. `bytes` starts at the empty
+  // reply with the entry count at its widest varint.
   std::vector<LearnRep::Entry> entries;
-  std::size_t bytes = 0;
+  std::size_t bytes =
+      LearnRep(cfg_.ring, {}).WireSize() - 1 + wire::VarintSize(msg.max_values);
   for (auto it = decided_vids_.lower_bound(msg.from_instance);
-       it != decided_vids_.end() && entries.size() < msg.max_values &&
-       bytes < 512 * 1024;
-       ++it) {
+       it != decided_vids_.end() && entries.size() < msg.max_values; ++it) {
     const paxos::AcceptorRecord* rec = core_.storage().Get(it->first);
     auto mit = accept_marks_.find(it->first);
     if (rec == nullptr || !rec->accepted || mit == accept_marks_.end()) {
@@ -269,7 +272,10 @@ void RingNode::OnLearnReq(Env& env, NodeId from, const LearnReq& msg) {
     if (mit->second.vid != it->second && mit->second.round <= decided_round) {
       continue;
     }
-    bytes += rec->accepted->WireSize();
+    const std::size_t entry_bytes =
+        wire::Size(it->first) + wire::Size(it->second) + rec->accepted->WireSize();
+    if (!entries.empty() && bytes + entry_bytes > kMaxWireMessage) break;
+    bytes += entry_bytes;
     entries.push_back({it->first, it->second, *rec->accepted});
   }
   if (!entries.empty()) {

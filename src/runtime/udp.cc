@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -18,8 +19,11 @@
 namespace mrp::runtime {
 namespace {
 
-constexpr std::size_t kMaxFrame = 60 * 1024;
 constexpr std::size_t kHeaderBytes = 4;  // u32 sender id
+constexpr std::size_t kMaxFrame = kHeaderBytes + kMaxWireMessage;
+// Requested per receive socket; the kernel caps it at net.core.rmem_max.
+// A deep buffer rides out bursts while the poll thread is descheduled.
+constexpr int kRcvBufBytes = 4 * 1024 * 1024;
 
 sockaddr_in MakeAddr(const std::string& ip, std::uint16_t port) {
   sockaddr_in addr{};
@@ -31,16 +35,34 @@ sockaddr_in MakeAddr(const std::string& ip, std::uint16_t port) {
   return addr;
 }
 
+// Requests kRcvBufBytes on a receive socket and logs, once per process,
+// what the kernel granted (Linux reports twice the usable size).
+void SetRcvBuf(int fd) {
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kRcvBufBytes, sizeof kRcvBufBytes);
+  static std::atomic<bool> logged{false};
+  if (logged.exchange(true)) return;
+  int granted = 0;
+  socklen_t len = sizeof granted;
+  ::getsockopt(fd, SOL_SOCKET, SO_RCVBUF, &granted, &len);
+  if (granted < kRcvBufBytes) {
+    MRP_WARN << "udp: SO_RCVBUF granted " << granted << " bytes of "
+             << kRcvBufBytes << " requested (capped by net.core.rmem_max)";
+  } else {
+    MRP_INFO << "udp: SO_RCVBUF granted " << granted << " bytes";
+  }
+}
+
 }  // namespace
 
 UdpTransport::UdpTransport(NodeId self, UdpConfig cfg)
-    : self_(self), cfg_(std::move(cfg)), rx_pool_(kMaxFrame) {
+    : self_(self), cfg_(std::move(cfg)) {
   if (cfg_.rx_batch < 1) cfg_.rx_batch = 1;
   if (cfg_.tx_batch < 1) cfg_.tx_batch = 1;
   unicast_fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (unicast_fd_ < 0) throw std::runtime_error("socket() failed");
   int one = 1;
   ::setsockopt(unicast_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  SetRcvBuf(unicast_fd_);
   auto addr = MakeAddr(cfg_.bind_ip, static_cast<std::uint16_t>(cfg_.base_port + self_));
   if (::bind(unicast_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
     throw std::runtime_error("bind() failed for node " + std::to_string(self_));
@@ -56,7 +78,15 @@ UdpTransport::UdpTransport(NodeId self, UdpConfig cfg)
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
   if (wake_fd_ < 0) throw std::runtime_error("eventfd() failed");
 
-  rx_bufs_.resize(static_cast<std::size_t>(cfg_.rx_batch));
+  const auto slots = static_cast<std::size_t>(cfg_.rx_batch);
+  rx_slab_ = std::make_unique_for_overwrite<std::uint8_t[]>(slots * kMaxFrame);
+  rx_iovs_.resize(slots);
+  rx_hdrs_.resize(slots);
+  for (std::size_t k = 0; k < slots; ++k) {
+    rx_iovs_[k] = {rx_slab_.get() + k * kMaxFrame, kMaxFrame};
+    rx_hdrs_[k].msg_hdr.msg_iov = &rx_iovs_[k];
+    rx_hdrs_[k].msg_hdr.msg_iovlen = 1;
+  }
 }
 
 UdpTransport::~UdpTransport() {
@@ -71,6 +101,7 @@ int UdpTransport::OpenMulticastRx(ChannelId channel) {
   const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  SetRcvBuf(fd);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(cfg_.mcast_port_base + channel));
@@ -99,14 +130,19 @@ void UdpTransport::Subscribe(ChannelId channel) {
 
 void UdpTransport::SetReceiver(RxFn rx) { rx_ = std::move(rx); }
 
-Bytes UdpTransport::FrameMessage(const MessageBase& msg) const {
+Bytes UdpTransport::FrameMessage(const MessageBase& msg) {
   // Header and message encode into one buffer: no intermediate frame
-  // copy on the send path.
-  ByteWriter w(msg.WireSize() + kHeaderBytes + 16);
+  // copy on the send path. The reserve is capped because an oversized
+  // message is dropped anyway.
+  ByteWriter w(kHeaderBytes + std::min(msg.WireSize(), kMaxWireMessage));
   w.u32(self_);
-  if (!net::EncodeMessageTo(w, msg)) return {};
-  if (w.size() <= kHeaderBytes || w.size() > kMaxFrame) return {};
-  return w.take();
+  if (net::EncodeMessageTo(w, msg) && w.size() > kHeaderBytes && w.size() <= kMaxFrame) {
+    return w.take();
+  }
+  ++tx_dropped_;
+  MRP_WARN << "udp: dropping " << msg.TypeName() << " of " << w.size() - kHeaderBytes
+           << " bytes (unencodable or over " << kMaxWireMessage << ")";
+  return {};
 }
 
 void UdpTransport::EnqueueTx(int fd, const sockaddr_in& addr, Bytes frame) {
@@ -118,10 +154,15 @@ void UdpTransport::EnqueueTx(int fd, const sockaddr_in& addr, Bytes frame) {
     ++tx_frames_;
     return;
   }
+  bool was_empty = false;
   {
     std::scoped_lock lock(tx_mu_);
+    was_empty = tx_queue_.empty();
     tx_queue_.push_back(TxEntry{fd, addr, std::move(frame)});
   }
+  // A non-empty queue already has a wake pending: the poll thread reads
+  // the wake before it swaps out the whole queue.
+  if (!was_empty) return;
   std::uint64_t one = 1;
   [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof one);
 }
@@ -189,33 +230,24 @@ void UdpTransport::DrainTxQueue() {
 }
 
 void UdpTransport::ReadSocket(int fd) {
-  const auto batch = static_cast<std::size_t>(cfg_.rx_batch);
-  std::vector<mmsghdr> hdrs(batch);
-  std::vector<iovec> iovs(batch);
+  const std::size_t batch = rx_hdrs_.size();
   for (;;) {
-    for (std::size_t k = 0; k < batch; ++k) {
-      if (rx_bufs_[k] == nullptr) rx_bufs_[k] = rx_pool_.Acquire();
-      iovs[k] = {rx_bufs_[k]->data(), rx_bufs_[k]->size()};
-      hdrs[k] = {};
-      hdrs[k].msg_hdr.msg_iov = &iovs[k];
-      hdrs[k].msg_hdr.msg_iovlen = 1;
-    }
-    const int got = ::recvmmsg(fd, hdrs.data(), static_cast<unsigned>(batch),
+    const int got = ::recvmmsg(fd, rx_hdrs_.data(), static_cast<unsigned>(batch),
                                MSG_DONTWAIT, nullptr);
     if (got <= 0) return;
     ++rx_batches_;
-    for (int k = 0; k < got; ++k) {
-      const std::size_t len = hdrs[static_cast<std::size_t>(k)].msg_len;
-      std::shared_ptr<Bytes> frame = std::move(rx_bufs_[static_cast<std::size_t>(k)]);
+    for (std::size_t k = 0; k < static_cast<std::size_t>(got); ++k) {
+      const std::size_t len = rx_hdrs_[k].msg_len;
       if (len <= kHeaderBytes) continue;
-      frame->resize(len);  // sole owner here; shared only after decode
-      ByteReader r(std::span<const std::uint8_t>(frame->data(), kHeaderBytes));
+      const auto* slot = static_cast<const std::uint8_t*>(rx_iovs_[k].iov_base);
+      ByteReader r(std::span<const std::uint8_t>(slot, kHeaderBytes));
       auto from = r.u32();
       if (!from || *from == self_) continue;  // multicast self-loop filter
-      // Zero-copy decode: payload fields of the message alias `frame`,
-      // which returns to rx_pool_ when the last such message dies.
-      MessagePtr msg = net::DecodeMessage(
-          net::SharedFrame(std::move(frame)), kHeaderBytes);
+      // The slot is overwritten by the next recvmmsg(): copy the message
+      // into an exact-size frame. Payload fields of the decoded message
+      // alias that frame (zero-copy decode) and keep it alive.
+      auto frame = std::make_shared<const Bytes>(slot + kHeaderBytes, slot + len);
+      MessagePtr msg = net::DecodeMessage(std::move(frame));
       if (msg == nullptr) {
         MRP_WARN << "udp: dropping undecodable frame of " << len << " bytes";
         continue;
@@ -223,7 +255,7 @@ void UdpTransport::ReadSocket(int fd) {
       ++rx_frames_;
       if (rx_) rx_(*from, std::move(msg));
     }
-    if (got < static_cast<int>(batch)) return;
+    if (static_cast<std::size_t>(got) < batch) return;
   }
 }
 

@@ -6,11 +6,16 @@
 //
 // Hot-path batching: sends are queued and flushed by the poll thread in
 // sendmmsg() batches (one syscall for a run of frames to the same
-// socket), and receives drain each socket with recvmmsg() into pooled
-// per-datagram frame buffers that feed the zero-copy decode path
-// (net/codec.h) — ClientMsg payloads alias the receive buffer instead
-// of being copied out. Per-destination FIFO is preserved: the tx queue
-// keeps submission order and batches never reorder across it.
+// socket); a send writes the wake eventfd only when it makes the queue
+// non-empty, because the poll thread swaps out the whole queue after
+// each wake. Per-destination FIFO is preserved: the tx queue keeps
+// submission order and batches never reorder across it.
+//
+// Receives drain each socket with recvmmsg() into one reused slab of
+// rx_batch slots, each large enough for any frame. Every datagram is
+// copied once into an exact-size frame that feeds the zero-copy decode
+// path (net/codec.h): ClientMsg payloads alias that frame, so a kept
+// message pins only its own datagram's bytes, never a slab slot.
 //
 // Defaults target loopback so a whole cluster runs on one machine; with
 // bind_ip / interface set to a real NIC the same code runs a distributed
@@ -18,6 +23,7 @@
 #pragma once
 
 #include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <cstdint>
@@ -25,10 +31,9 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "common/pool.h"
+#include "common/bytes.h"
 #include "runtime/transport.h"
 
 namespace mrp::runtime {
@@ -62,6 +67,8 @@ class UdpTransport final : public Transport {
   void Stop();
 
   std::uint64_t tx_frames() const { return tx_frames_.load(); }
+  // Messages never sent: not encodable, or larger than one datagram.
+  std::uint64_t tx_dropped() const { return tx_dropped_.load(); }
   std::uint64_t rx_frames() const { return rx_frames_.load(); }
   // Syscall-batching effectiveness: frames per batch = frames/batches.
   std::uint64_t tx_batches() const { return tx_batches_.load(); }
@@ -76,16 +83,17 @@ class UdpTransport final : public Transport {
 
   void PollLoop();
   int OpenMulticastRx(ChannelId channel);
-  // Frames `msg` (sender-id header + encoding) in one buffer; empty on
-  // unencodable or oversized messages.
-  Bytes FrameMessage(const MessageBase& msg) const;
+  // Frames `msg` (sender-id header + encoding) in one buffer; empty,
+  // counted in tx_dropped() and logged, on unencodable or oversized
+  // messages.
+  Bytes FrameMessage(const MessageBase& msg);
   // Queues a frame for the poll thread (or sends inline when the poll
   // thread is not running, e.g. before Start()).
   void EnqueueTx(int fd, const sockaddr_in& addr, Bytes frame);
   // Swaps out the queue and flushes it in sendmmsg() runs.
   void DrainTxQueue();
   void SendBatch(TxEntry* entries, std::size_t count);
-  // Drains `fd` with recvmmsg() into pooled buffers and dispatches.
+  // Drains `fd` with recvmmsg() into the slab and dispatches.
   void ReadSocket(int fd);
 
   NodeId self_;
@@ -98,6 +106,7 @@ class UdpTransport final : public Transport {
   std::thread poll_thread_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> tx_frames_{0};
+  std::atomic<std::uint64_t> tx_dropped_{0};
   std::atomic<std::uint64_t> rx_frames_{0};
   std::atomic<std::uint64_t> tx_batches_{0};
   std::atomic<std::uint64_t> rx_batches_{0};
@@ -105,9 +114,11 @@ class UdpTransport final : public Transport {
   std::mutex tx_mu_;
   std::vector<TxEntry> tx_queue_;  // guarded by tx_mu_
 
-  // Poll-thread state (also used by the Stop() flush after join).
-  BufferPool rx_pool_;
-  std::vector<std::shared_ptr<Bytes>> rx_bufs_;
+  // Poll-thread receive state: rx_batch slots of kMaxFrame bytes (left
+  // uninitialised) and the recvmmsg() headers pointing at them.
+  std::unique_ptr<std::uint8_t[]> rx_slab_;
+  std::vector<iovec> rx_iovs_;
+  std::vector<mmsghdr> rx_hdrs_;
 };
 
 }  // namespace mrp::runtime

@@ -373,36 +373,6 @@ TEST(ObjectPool, ReusesReleasedObjectsLifo) {
   // ownership) — nothing to assert here beyond "no leak" under ASan.
 }
 
-TEST(BufferPool, RecyclesAndPoisonsReturnedBuffers) {
-  BufferPool pool(/*buffer_capacity=*/64);
-  pool.set_poison(true);
-  std::shared_ptr<Bytes> buf = pool.Acquire();
-  ASSERT_EQ(buf->size(), 64u);
-  Bytes* raw = buf.get();
-  (*buf)[0] = 0x11;
-  buf.reset();  // returns to the pool and poisons
-  EXPECT_EQ(pool.free_count(), 1u);
-
-  std::shared_ptr<Bytes> again = pool.Acquire();
-  EXPECT_EQ(again.get(), raw);  // recycled, not reallocated
-  EXPECT_EQ((*again)[0], BufferPool::kPoisonByte);
-  EXPECT_EQ(pool.acquired(), 2u);
-  EXPECT_EQ(pool.reused(), 1u);
-}
-
-TEST(BufferPool, BuffersOutliveThePool) {
-  std::shared_ptr<Bytes> survivor;
-  {
-    BufferPool pool(32);
-    survivor = pool.Acquire();
-    (*survivor)[0] = 0x77;
-  }
-  // The pool died first: releasing the buffer must plain-delete it
-  // (weak_ptr-guarded return path), not touch freed pool state.
-  EXPECT_EQ((*survivor)[0], 0x77);
-  survivor.reset();
-}
-
 TEST(MergeLearner, GroupsSortedByGroupId) {
   multiring::MergeLearner::Options mo;
   for (GroupId g : {GroupId{5}, GroupId{1}, GroupId{3}}) {

@@ -1,7 +1,7 @@
 // Focused RingNode behaviour tests: leadership hand-off rules, value-ID
 // uniqueness across rounds, decided-watermark trimming, batch-timeout
-// partial batches, recoverable-mode fail-over, and proposer window
-// accounting under think-time jitter.
+// partial batches, recoverable-mode fail-over, LearnRep size limits, and
+// proposer window accounting under think-time jitter.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -151,6 +151,76 @@ TEST(RingNode, VidsUniqueAcrossRoundsAndInstances) {
   d.coordinator_node(0)->SetDown(true);  // force a new round's vids
   d.RunFor(Seconds(1));
   EXPECT_GT(snooper->seen.size(), 500u);
+}
+
+// Asks an acceptor for decided instances from `from` on, one LearnReq
+// of `max_values` at a time, until `count` instances are covered.
+class LearnProbe final : public Protocol {
+ public:
+  LearnProbe(RingId ring, NodeId acceptor, std::uint32_t max_values, std::size_t count)
+      : ring_(ring), acceptor_(acceptor), max_values_(max_values), count_(count) {}
+
+  void OnStart(Env& env) override { Ask(env, 0); }
+  void OnMessage(Env& env, NodeId, const MessagePtr& m) override {
+    const auto* rep = Cast<LearnRep>(m);
+    if (rep == nullptr) return;
+    reply_sizes.push_back(rep->WireSize());
+    reply_entries.push_back(rep->entries.size());
+    for (const auto& e : rep->entries) covered.push_back(e.instance);
+    if (!rep->entries.empty() && covered.size() < count_) {
+      Ask(env, rep->entries.back().instance + 1);
+    }
+  }
+
+  std::vector<std::size_t> reply_sizes;
+  std::vector<std::size_t> reply_entries;
+  std::vector<InstanceId> covered;
+
+ private:
+  void Ask(Env& env, InstanceId from) {
+    env.Send(acceptor_, MakeMessage<LearnReq>(ring_, from, max_values_));
+  }
+
+  RingId ring_;
+  NodeId acceptor_;
+  std::uint32_t max_values_;
+  std::size_t count_;
+};
+
+TEST(RingNode, LearnRepsFitOneWireMessage) {
+  // 8 KiB values: a full 32-entry reply would be ~264 KiB, far over what
+  // one UDP datagram carries. Each reply must stop at the limit, and
+  // asking again from the last entry must still reach every instance.
+  DeploymentOptions opts;
+  opts.lambda_per_sec = 0;
+  SimDeployment d(opts);
+  d.AddRingLearner(0, true);
+  ProposerConfig pc;
+  pc.max_outstanding = 4;
+  pc.payload_size = 8 * 1024;
+  d.AddProposer(0, pc);
+  d.Start();
+  d.RunFor(Millis(200));
+  ASSERT_GE(d.coordinator(0)->decided_instances(), 40u);
+
+  constexpr std::size_t kInstances = 40;
+  auto& node = d.net().AddNode();
+  auto probe = std::make_unique<LearnProbe>(d.ring(0).ring, d.coordinator_node(0)->self(),
+                                            /*max_values=*/32, kInstances);
+  auto* raw = probe.get();
+  node.BindProtocol(std::move(probe));
+  node.Start();
+  d.RunFor(Millis(100));
+
+  ASSERT_GE(raw->covered.size(), kInstances);
+  for (std::size_t i = 0; i < raw->reply_sizes.size(); ++i) {
+    EXPECT_LE(raw->reply_sizes[i], kMaxWireMessage) << "reply " << i;
+    EXPECT_GE(raw->reply_entries[i], 1u) << "reply " << i;
+    EXPECT_LT(raw->reply_entries[i], 32u) << "reply " << i << " was not capped";
+  }
+  for (std::size_t i = 1; i < raw->covered.size(); ++i) {
+    EXPECT_EQ(raw->covered[i], raw->covered[i - 1] + 1) << "gap after entry " << i;
+  }
 }
 
 TEST(Proposer, WindowNeverExceededWithThinkJitter) {

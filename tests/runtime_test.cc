@@ -738,3 +738,219 @@ TEST(FileStorage, AcceptorRestartWithReplayServesRecovery) {
 
 }  // namespace
 }  // namespace mrp::runtime
+
+// ---- UDP transport: receive frames, dropped sends, burst loss ----
+#include <mutex>
+#include <set>
+
+namespace mrp::runtime {
+namespace {
+
+using namespace ringpaxos;  // NOLINT
+using paxos::ClientMsg;
+
+// Payload byte i of message `seq`: distinct per message and per offset,
+// so a payload that aliases reused receive memory reads wrong.
+std::uint8_t PatternByte(std::uint64_t seq, std::size_t i) {
+  return static_cast<std::uint8_t>(seq * 131 + i * 7 + (i >> 8));
+}
+
+MessagePtr PatternSubmit(std::uint64_t seq, std::size_t payload_bytes) {
+  ClientMsg m;
+  m.proposer = 1;
+  m.seq = seq;
+  Bytes payload(payload_bytes);
+  for (std::size_t i = 0; i < payload_bytes; ++i) payload[i] = PatternByte(seq, i);
+  m.payload = std::move(payload);
+  m.payload_size = static_cast<std::uint32_t>(payload_bytes);
+  return MakeMessage<Submit>(0, std::move(m));
+}
+
+// Polls `done` every millisecond, giving up after about `limit_ms`.
+template <typename Pred>
+bool WaitFor(Pred done, int limit_ms) {
+  for (int waited = 0; !done(); ++waited) {
+    if (waited >= limit_ms) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(UdpTransport, HeldPayloadsStayIntactAcrossLaterReceives) {
+  // Every received Submit is kept while many later recvmmsg() batches
+  // reuse the receive slots: each payload must still read back exactly.
+  UdpConfig udp;
+  udp.base_port = 47300;
+  udp.mcast_port_base = 47800;
+  udp.mcast_prefix = "239.255.83.";
+  UdpTransport sender(0, udp);
+  UdpTransport receiver(1, udp);
+  std::mutex mu;
+  std::vector<MessagePtr> held;
+  receiver.SetReceiver([&](NodeId, MessagePtr msg) {
+    std::scoped_lock lock(mu);
+    held.push_back(std::move(msg));
+  });
+  sender.Start();
+  receiver.Start();
+
+  constexpr std::uint64_t kMsgs = 1200;
+  constexpr std::uint64_t kChunk = 24;  // paced: no receive-buffer overflow
+  auto received = [&] {
+    std::scoped_lock lock(mu);
+    return held.size();
+  };
+  for (std::uint64_t seq = 1; seq <= kMsgs; ++seq) {
+    sender.Send(1, PatternSubmit(seq, 1024));
+    if (seq % kChunk == 0 || seq == kMsgs) {
+      ASSERT_TRUE(WaitFor([&] { return received() >= seq; }, 5000))
+          << "only " << received() << " of " << seq << " datagrams arrived";
+    }
+  }
+  sender.Stop();
+  receiver.Stop();
+
+  EXPECT_GE(receiver.rx_batches(), kMsgs / kChunk);
+  ASSERT_EQ(held.size(), kMsgs);
+  std::set<std::uint64_t> seqs;
+  for (const MessagePtr& msg : held) {
+    const auto* submit = Cast<Submit>(msg);
+    ASSERT_NE(submit, nullptr);
+    const auto& payload = submit->msg.payload;
+    ASSERT_EQ(payload.size(), 1024u);
+    EXPECT_FALSE(payload.owning()) << "payload was copied out, not a frame view";
+    std::size_t bad = 0;
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+      bad += payload.data()[i] != PatternByte(submit->msg.seq, i);
+    }
+    EXPECT_EQ(bad, 0u) << "seq " << submit->msg.seq;
+    seqs.insert(submit->msg.seq);
+  }
+  EXPECT_EQ(seqs.size(), kMsgs);
+}
+
+TEST(UdpTransport, OversizedSendIsCountedAsDropped) {
+  UdpConfig udp;
+  udp.base_port = 47400;
+  udp.mcast_port_base = 47900;
+  udp.mcast_prefix = "239.255.84.";
+  UdpTransport transport(0, udp);
+  transport.Send(1, PatternSubmit(1, 1024));
+  EXPECT_EQ(transport.tx_frames(), 1u);
+  EXPECT_EQ(transport.tx_dropped(), 0u);
+  transport.Send(1, PatternSubmit(2, kMaxWireMessage));  // + headers: too big
+  transport.Multicast(0, PatternSubmit(3, 2 * kMaxWireMessage));
+  EXPECT_EQ(transport.tx_frames(), 1u);
+  EXPECT_EQ(transport.tx_dropped(), 2u);
+}
+
+// Decorates a real transport for tests: gives every sent Submit a real
+// payload (ringpaxos::Proposer sends size-only ones, which encode to a
+// few bytes), and once armed drops the next P2As it receives — a burst
+// loss on the node's multicast data channel.
+class TestTransport final : public Transport {
+ public:
+  explicit TestTransport(Transport& inner) : inner_(inner) {}
+
+  void Send(NodeId to, MessagePtr msg) override { inner_.Send(to, Materialize(msg)); }
+  void Multicast(ChannelId channel, MessagePtr msg) override {
+    inner_.Multicast(channel, Materialize(msg));
+  }
+  void Subscribe(ChannelId channel) override { inner_.Subscribe(channel); }
+  void SetReceiver(RxFn rx) override {
+    inner_.SetReceiver([this, rx = std::move(rx)](NodeId from, MessagePtr msg) {
+      // Only the inner transport's poll thread decrements.
+      if (msg->kind() == MsgKind::kRingP2A && to_drop_.load() > 0) {
+        to_drop_.fetch_sub(1);
+        return;
+      }
+      rx(from, std::move(msg));
+    });
+  }
+
+  void DropNextP2As(int n) { to_drop_.store(n); }
+  int left_to_drop() const { return to_drop_.load(); }
+
+ private:
+  static MessagePtr Materialize(const MessagePtr& msg) {
+    const auto* submit = Cast<Submit>(msg);
+    if (submit == nullptr || !submit->msg.payload.empty()) return msg;
+    ClientMsg m = submit->msg;
+    m.payload = Bytes(m.payload_size, static_cast<std::uint8_t>(m.seq));
+    return MakeMessage<Submit>(submit->ring, std::move(m));
+  }
+
+  Transport& inner_;
+  std::atomic<int> to_drop_{0};
+};
+
+TEST(LocalClusterUdp, LearnerRecoversFromBurstLossOfLargeValues) {
+  // One ring of 2 acceptors, a learner and a closed-loop proposer of
+  // 1 KiB messages, so instances carry ~8 KiB batches. After 40 P2As are
+  // lost at the learner, recovery needs LearnReps of many such values;
+  // each must fit in one datagram or the learner never catches up.
+  UdpConfig udp;
+  udp.base_port = 47500;
+  udp.mcast_port_base = 48000;
+  udp.mcast_prefix = "239.255.86.";
+  RingConfig rc;
+  rc.data_channel = 0;
+  rc.control_channel = 1;
+  rc.ring_members = {0, 1};
+  rc.ack_submits = true;  // the proposer runs on regardless of the learner
+
+  std::vector<std::unique_ptr<UdpTransport>> udps;
+  for (NodeId id = 0; id < 4; ++id) udps.push_back(std::make_unique<UdpTransport>(id, udp));
+  for (NodeId id = 0; id < 3; ++id) {
+    udps[id]->Subscribe(rc.data_channel);
+    udps[id]->Subscribe(rc.control_channel);
+  }
+  udps[3]->Subscribe(rc.control_channel);
+  TestTransport lossy(*udps[2]);
+  TestTransport client(*udps[3]);
+
+  std::atomic<std::uint64_t> delivered{0};
+  std::vector<std::uint64_t> seqs;  // learner loop only; read after Stop()
+  RingLearner::Options lo;
+  lo.learner.ring = rc;
+  lo.on_deliver = [&](const ClientMsg& m) {
+    seqs.push_back(m.seq);
+    ++delivered;
+  };
+  ProposerConfig pc;
+  pc.coordinator = 0;
+  pc.max_outstanding = 64;
+  pc.payload_size = 1024;
+
+  std::vector<std::unique_ptr<NodeRuntime>> nodes;
+  nodes.push_back(std::make_unique<NodeRuntime>(0, std::make_unique<RingNode>(rc), *udps[0]));
+  nodes.push_back(std::make_unique<NodeRuntime>(1, std::make_unique<RingNode>(rc), *udps[1]));
+  nodes.push_back(
+      std::make_unique<NodeRuntime>(2, std::make_unique<RingLearner>(std::move(lo)), lossy));
+  nodes.push_back(std::make_unique<NodeRuntime>(3, std::make_unique<Proposer>(pc), client));
+  for (auto& t : udps) t->Start();
+  for (auto& n : nodes) n->Start();
+
+  const bool warmed = WaitFor([&] { return delivered.load() >= 200; }, 10000);
+  lossy.DropNextP2As(40);
+  const bool burst =
+      warmed && WaitFor([&] { return lossy.left_to_drop() == 0; }, 10000);
+  const std::uint64_t at_burst = delivered.load();
+  const bool recovered =
+      burst && WaitFor([&] { return delivered.load() >= at_burst + 1000; }, 10000);
+  for (auto& n : nodes) n->Stop();
+  for (auto& t : udps) t->Stop();
+
+  ASSERT_TRUE(warmed) << "no deliveries before the burst";
+  ASSERT_TRUE(burst) << "the burst was never dropped";
+  EXPECT_TRUE(recovered) << "learner stuck at " << delivered.load() << " after the burst at "
+                         << at_burst;
+  // Nothing was skipped: the learner delivered every seq up to its last.
+  const std::set<std::uint64_t> unique(seqs.begin(), seqs.end());
+  ASSERT_FALSE(unique.empty());
+  EXPECT_EQ(*unique.begin(), 1u);
+  EXPECT_EQ(unique.size(), *unique.rbegin());
+}
+
+}  // namespace
+}  // namespace mrp::runtime
